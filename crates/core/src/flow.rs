@@ -1867,6 +1867,25 @@ mod resilience_tests {
     }
 
     #[test]
+    fn resume_from_deeply_nested_checkpoint_is_rejected() {
+        let (n, c) = setup(0.01);
+        let path = ckpt_path("nested.json");
+        std::fs::write(&path, "[".repeat(100_000)).expect("write checkpoint");
+        let err = run_flow_resilient(
+            &n,
+            &c,
+            &FlowOptions::fast(),
+            &ResilienceOptions {
+                resume_from: Some(path.clone()),
+                ..Default::default()
+            },
+        )
+        .expect_err("must reject");
+        assert!(matches!(err, FlowError::Checkpoint { .. }), "got {err:?}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn vpr_shaping_cancellation_interrupts_the_sweep() {
         let (n, c) = setup(0.01);
         let opts = FlowOptions::fast().shape_mode(ShapeMode::Vpr);

@@ -652,6 +652,88 @@ pub fn par_chunks2_mut_sum<T: Send>(
     tree_combine(parts, |a, b| a + b).unwrap_or(0.0)
 }
 
+/// Three-buffer, two-sum [`par_chunks2_mut_sum`]: `a`, `b` and `c` share
+/// one fixed chunk geometry, each chunk runs `f(offset, a, b, c)` on its
+/// three disjoint slices and returns two partials, and each partial is tree-combined in the
+/// fixed order [`par_chunks_mut_sum`] would use — so both sums are
+/// bit-identical to two separate single-sum passes. The Jacobi-CG step
+/// uses this to update the iterate, residual and preconditioned residual
+/// and reduce `r·r` and `r·z` in one pass.
+///
+/// # Panics
+///
+/// Panics if the buffers differ in length.
+pub fn par_chunks3_mut_sum2<T: Send>(
+    a: &mut [T],
+    b: &mut [T],
+    c: &mut [T],
+    chunk: usize,
+    f: impl Fn(usize, &mut [T], &mut [T], &mut [T]) -> (f64, f64) + Sync,
+) -> (f64, f64) {
+    assert!(
+        a.len() == b.len() && a.len() == c.len(),
+        "par_chunks3_mut_sum2 buffers differ"
+    );
+    let n = a.len();
+    let chunk = chunk.max(1);
+    let (pa, pb, pc) = (
+        SendPtr(a.as_mut_ptr()),
+        SendPtr(b.as_mut_ptr()),
+        SendPtr(c.as_mut_ptr()),
+    );
+    let parts = par_map_ranges(n, chunk, |r| {
+        // SAFETY: ranges from the fixed chunking are pairwise disjoint,
+        // and `a`/`b`/`c` are distinct exclusive borrows.
+        let sa = unsafe { std::slice::from_raw_parts_mut(pa.get().add(r.start), r.len()) };
+        let sb = unsafe { std::slice::from_raw_parts_mut(pb.get().add(r.start), r.len()) };
+        let sc = unsafe { std::slice::from_raw_parts_mut(pc.get().add(r.start), r.len()) };
+        f(r.start, sa, sb, sc)
+    });
+    tree_combine(parts, |x, y| (x.0 + y.0, x.1 + y.1)).unwrap_or((0.0, 0.0))
+}
+
+/// Runs `a` and `b`, potentially in parallel, and returns both results:
+/// a two-chunk region, so the caller runs one closure and an idle worker
+/// may steal the other. Each closure runs exactly once on one thread, so
+/// the results cannot depend on the thread count. Nested calls (recursive
+/// fork-join) are allowed. With a budget of 1 both run inline, in order.
+///
+/// # Panics
+///
+/// Panics if either closure panicked, as [`par_for`] does.
+pub fn join<RA: Send, RB: Send>(
+    a: impl FnOnce() -> RA + Send,
+    b: impl FnOnce() -> RB + Send,
+) -> (RA, RB) {
+    if current_threads() <= 1 {
+        return (a(), b());
+    }
+    let (fa, fb) = (Mutex::new(Some(a)), Mutex::new(Some(b)));
+    let (ra, rb) = (Mutex::new(None), Mutex::new(None));
+    par_for(2, &|i| {
+        if i == 0 {
+            let f = lock(&fa).take();
+            if let Some(f) = f {
+                let r = f();
+                *lock(&ra) = Some(r);
+            }
+        } else {
+            let f = lock(&fb).take();
+            if let Some(f) = f {
+                let r = f();
+                *lock(&rb) = Some(r);
+            }
+        }
+    });
+    let ra = ra.into_inner().unwrap_or_else(PoisonError::into_inner);
+    let rb = rb.into_inner().unwrap_or_else(PoisonError::into_inner);
+    match (ra, rb) {
+        (Some(ra), Some(rb)) => (ra, rb),
+        // Unreachable: par_for returns only after both chunks ran.
+        _ => panic!("cp-parallel: join returned without running both halves"),
+    }
+}
+
 /// Combines `parts` pairwise in fixed order until one value remains:
 /// `((p0 ⊕ p1) ⊕ (p2 ⊕ p3)) ⊕ …`. The combination tree depends only on
 /// `parts.len()`, which is what makes the reductions here bit-identical
@@ -923,6 +1005,75 @@ mod tests {
         let err = with_threads(4, || try_par_map(&items, 4, &ctl, |s| format!("out-{s}")))
             .expect_err("cancelled map must fail");
         assert!(matches!(err, RegionError::Interrupted(_)));
+    }
+
+    #[test]
+    fn par_chunks3_mut_sum2_matches_single_sum_passes() {
+        let n = 3000;
+        let init = || -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+            (
+                (0..n).map(|i| i as f64 * 0.5).collect(),
+                (0..n).map(|i| (n - i) as f64 * 0.25).collect(),
+                vec![0.0; n],
+            )
+        };
+        let (mut x, mut r, mut z) = init();
+        let want_rr = par_chunks2_mut_sum(&mut x, &mut r, 64, |_, _, sx, sr| {
+            let mut acc = 0.0;
+            for (xi, ri) in sx.iter_mut().zip(sr.iter_mut()) {
+                *xi += 0.125 * *ri;
+                *ri -= 0.25 * *xi;
+                acc += *ri * *ri;
+            }
+            acc
+        });
+        let want_rz = par_chunks_mut_sum(&mut z, 64, |_, off, sz| {
+            let mut acc = 0.0;
+            for (k, zi) in sz.iter_mut().enumerate() {
+                *zi = r[off + k] / 3.0;
+                acc += r[off + k] * *zi;
+            }
+            acc
+        });
+        for t in [1usize, 2, 4, 8] {
+            let (mut x2, mut r2, mut z2) = init();
+            let (rr, rz) = with_threads(t, || {
+                par_chunks3_mut_sum2(&mut x2, &mut r2, &mut z2, 64, |_, sx, sr, sz| {
+                    let (mut a, mut b) = (0.0, 0.0);
+                    for ((xi, ri), zi) in sx.iter_mut().zip(sr.iter_mut()).zip(sz.iter_mut()) {
+                        *xi += 0.125 * *ri;
+                        *ri -= 0.25 * *xi;
+                        a += *ri * *ri;
+                        *zi = *ri / 3.0;
+                        b += *ri * *zi;
+                    }
+                    (a, b)
+                })
+            });
+            assert_eq!(
+                (want_rr.to_bits(), want_rz.to_bits()),
+                (rr.to_bits(), rz.to_bits())
+            );
+            assert_eq!((&x, &r, &z), (&x2, &r2, &z2), "threads = {t}");
+        }
+    }
+
+    #[test]
+    fn join_runs_both_halves_at_any_budget() {
+        fn fib(n: u64) -> u64 {
+            if n < 12 {
+                return (1..=n).fold((0u64, 1u64), |(a, b), _| (b, a + b)).0;
+            }
+            let (a, b) = join(|| fib(n - 1), || fib(n - 2));
+            a + b
+        }
+        for threads in [1, 2, 4] {
+            assert_eq!(
+                with_threads(threads, || fib(20)),
+                6765,
+                "threads = {threads}"
+            );
+        }
     }
 
     #[test]

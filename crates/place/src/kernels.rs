@@ -13,6 +13,8 @@
 //!   in one pass (the body of a CG step),
 //! - [`jacobi_dot`] — diagonal preconditioner application fused with the
 //!   `r·z` inner product,
+//! - [`jacobi_step`] — [`fused_step`] and [`jacobi_dot`] in one pass (the
+//!   Jacobi-CG step),
 //! - [`xpay`] / [`axpy`] / [`dot`] / [`sub_dot`] — the remaining
 //!   primitive shapes.
 //!
@@ -117,6 +119,38 @@ pub fn fused_step(x: &mut [f64], r: &mut [f64], p: &[f64], ap: &[f64], alpha: f6
     })
 }
 
+/// The Jacobi-CG step in one pass: [`fused_step`] (`x += α·p`,
+/// `r -= α·ap`, `Σ r²`) fused with [`jacobi_dot`] on the updated residual
+/// (`z = r / diag`, `Σ r·z`). Returns `(Σ r², Σ r·z)`, both bit-identical
+/// to the two-kernel sequence. `z` is written even when the caller then
+/// stops on the residual norm; it is scratch at that point.
+pub fn jacobi_step(
+    x: &mut [f64],
+    r: &mut [f64],
+    z: &mut [f64],
+    p: &[f64],
+    ap: &[f64],
+    diag: &[f64],
+    alpha: f64,
+) -> (f64, f64) {
+    cp_parallel::par_chunks3_mut_sum2(x, r, z, VEC_CHUNK, |off, sx, sr, sz| {
+        let (mut rr, mut rz) = (0.0, 0.0);
+        for (k, ((xi, ri), zi)) in sx
+            .iter_mut()
+            .zip(sr.iter_mut())
+            .zip(sz.iter_mut())
+            .enumerate()
+        {
+            *xi += alpha * p[off + k];
+            *ri -= alpha * ap[off + k];
+            rr += *ri * *ri;
+            *zi = *ri / diag[off + k];
+            rz += *ri * *zi;
+        }
+        (rr, rz)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,6 +195,33 @@ mod tests {
                 assert_eq!(bits(&x_ref), bits(&x), "n={n} t={threads}");
                 assert_eq!(bits(&r_ref), bits(&r), "n={n} t={threads}");
                 assert_eq!(rr_ref.to_bits(), rr.to_bits(), "n={n} t={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn jacobi_step_matches_fused_step_then_jacobi_dot() {
+        for n in [1usize, VEC_CHUNK, 2 * VEC_CHUNK + 77] {
+            let (x0, r0, p, ap) = vecs(n);
+            let diag: Vec<f64> = p.iter().map(|v| v.abs() + 0.5).collect();
+            let alpha = -0.6125;
+            let mut x_ref = x0.clone();
+            let mut r_ref = r0.clone();
+            let mut z_ref = vec![0.0; n];
+            let rr_ref = fused_step(&mut x_ref, &mut r_ref, &p, &ap, alpha);
+            let rz_ref = jacobi_dot(&mut z_ref, &r_ref, &diag);
+            for threads in [1usize, 2, 4, 8] {
+                let (mut x, mut r, mut z) = (x0.clone(), r0.clone(), vec![0.0; n]);
+                let (rr, rz) = cp_parallel::with_threads(threads, || {
+                    jacobi_step(&mut x, &mut r, &mut z, &p, &ap, &diag, alpha)
+                });
+                assert_eq!(bits(&x_ref), bits(&x), "n={n} t={threads}");
+                assert_eq!(bits(&r_ref), bits(&r), "n={n} t={threads}");
+                assert_eq!(bits(&z_ref), bits(&z), "n={n} t={threads}");
+                assert_eq!(
+                    (rr_ref.to_bits(), rz_ref.to_bits()),
+                    (rr.to_bits(), rz.to_bits())
+                );
             }
         }
     }

@@ -136,6 +136,7 @@ pub fn route_nets_with_blockages(
     let mut wirelength = 0.0;
     let mut hpwl = 0.0;
     let mut mazed = 0usize;
+    let mut maze = MazeStats::default();
     for &ni in &order {
         let pins = &nets[ni];
         if pins.len() < 2 {
@@ -147,12 +148,17 @@ pub fn route_nets_with_blockages(
             if a == b {
                 continue;
             }
-            let (len, used_maze) = route_segment(&mut map, a, b, options);
+            let (len, used_maze) = route_segment(&mut map, a, b, options, &mut maze);
             wirelength += len * gcell;
             if used_maze {
                 mazed += 1;
             }
         }
+    }
+    if cp_trace::telemetry_enabled() {
+        cp_trace::counter_add("route.maze.calls", maze.calls);
+        cp_trace::counter_add("route.maze.heap_pops", maze.heap_pops);
+        cp_trace::counter_add("route.maze.window_cells", maze.window_cells);
     }
     Ok(RoutingResult {
         wirelength,
@@ -265,12 +271,26 @@ fn mst_segments(cells: &[(usize, usize)]) -> Vec<((usize, usize), (usize, usize)
     segments
 }
 
+/// Work done by the maze fallback over one routing call, reported as
+/// `route.maze.*` counters at trace level `Full`.
+#[derive(Debug, Default)]
+struct MazeStats {
+    /// Searches started.
+    calls: u64,
+    /// Priority-queue pops, stale entries included.
+    heap_pops: u64,
+    /// Search-window GCells, summed over searches (the `dist`/`prev`
+    /// cells each search allocates and initializes).
+    window_cells: u64,
+}
+
 /// Routes one segment; returns (GCell edges used, maze fallback used).
 fn route_segment(
     map: &mut CongestionMap,
     a: (usize, usize),
     b: (usize, usize),
     options: &RouterOptions,
+    maze: &mut MazeStats,
 ) -> (f64, bool) {
     // Straight lines and L-shapes.
     let util_l = |map: &CongestionMap, first_horizontal: bool| -> f64 {
@@ -306,7 +326,7 @@ fn route_segment(
         let len = commit_l(map, a, b, first_horizontal);
         return (len, false);
     }
-    match maze_route(map, a, b, options.maze_margin) {
+    match maze_route(map, a, b, options.maze_margin, maze) {
         Some(len) => (len, true),
         None => (commit_l(map, a, b, first_horizontal), false),
     }
@@ -342,6 +362,7 @@ fn maze_route(
     a: (usize, usize),
     b: (usize, usize),
     margin: usize,
+    stats: &mut MazeStats,
 ) -> Option<f64> {
     let (nx, ny) = (map.nx(), map.ny());
     let x0 = a.0.min(b.0).saturating_sub(margin);
@@ -351,6 +372,8 @@ fn maze_route(
     let w = x1 - x0 + 1;
     let h = y1 - y0 + 1;
     let idx = |i: usize, j: usize| (j - y0) * w + (i - x0);
+    stats.calls += 1;
+    stats.window_cells += (w * h) as u64;
     let mut dist = vec![f64::INFINITY; w * h];
     let mut prev: Vec<u32> = vec![u32::MAX; w * h];
     let mut heap: BinaryHeap<std::cmp::Reverse<(u64, u32)>> = BinaryHeap::new();
@@ -360,6 +383,7 @@ fn maze_route(
     let cost_of = |util: f64| 1.0 + if util >= 1.0 { 64.0 } else { 8.0 * util * util };
     let target = idx(b.0, b.1) as u32;
     while let Some(std::cmp::Reverse((dkey, u))) = heap.pop() {
+        stats.heap_pops += 1;
         let du = f64::from_bits(dkey);
         if du > dist[u as usize] {
             continue;
@@ -469,6 +493,32 @@ mod tests {
             r.congestion.overflow_edges()
         );
         assert!(r.congestion.max_utilization() > 0.9);
+    }
+
+    #[test]
+    fn maze_work_is_counted_at_full_trace_level() {
+        let mut nets = Vec::new();
+        for _ in 0..4 {
+            nets.push(vec![(5.0, 55.0), (95.0, 55.0)]);
+        }
+        let read = || {
+            (
+                cp_trace::counter_value("route.maze.calls"),
+                cp_trace::counter_value("route.maze.heap_pops"),
+                cp_trace::counter_value("route.maze.window_cells"),
+            )
+        };
+        let before = read();
+        cp_trace::set_level(cp_trace::Level::Full);
+        let r = route_nets(&nets, region(), &opts()).expect("routable");
+        cp_trace::set_level(cp_trace::Level::Off);
+        let after = read();
+        assert!(r.mazed_segments > 0);
+        // Counters are process-global, so only lower bounds hold.
+        let calls = after.0 - before.0;
+        assert!(calls >= r.mazed_segments as u64, "calls {calls}");
+        assert!(after.1 - before.1 >= calls, "pops");
+        assert!(after.2 - before.2 >= calls, "cells");
     }
 
     #[test]

@@ -111,11 +111,23 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. Every document this
+/// workspace writes nests a handful of levels; the bound keeps the
+/// recursive-descent parser (and the recursive drop of what it builds)
+/// within the stack on hostile input, such as 100k nested `[`.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document, requiring it to be fully consumed.
+///
+/// # Errors
+///
+/// A description with the byte offset when the input is not one JSON
+/// value, or nests arrays/objects deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -129,6 +141,8 @@ pub fn parse(input: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -171,8 +185,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => self.string().map(Json::Str),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -438,6 +466,20 @@ mod tests {
         assert!(parse("[1,2").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert!(err.contains("nesting deeper"), "{err}");
+        // Hostile input far past any stack: a typed error, not an abort.
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
+        // Depth is per path, not cumulative: wide siblings are fine.
+        let wide = format!("[{}]", vec![nest(MAX_DEPTH - 1); 64].join(","));
+        assert!(parse(&wide).is_ok());
     }
 
     #[test]
